@@ -59,12 +59,12 @@ def main() -> None:
     program = assemble(SOURCE)
     cpu = CPU(program)
     result = cpu.run(max_conditional_branches=40_000)
-    records = result.branch_records
+    trace = result.packed  # columnar; iterating it yields BranchRecords
 
     print(f"executed {result.instructions_executed} instructions")
     print(f"conditional branches: {result.mix.conditional}")
-    print(f"static branch sites:  {static_branch_census(records).static_conditional}")
-    print(f"taken rate:           {taken_rate(records):.2%}\n")
+    print(f"static branch sites:  {static_branch_census(trace).static_conditional}")
+    print(f"taken rate:           {taken_rate(trace):.2%}\n")
 
     for spec in (
         "AT(AHRT(512,12SR),PT(2^12,A2),)",
@@ -73,7 +73,7 @@ def main() -> None:
         "BTFN",
     ):
         predictor = parse_spec(spec).build()
-        accuracy = measure_accuracy(predictor, records)
+        accuracy = measure_accuracy(predictor, trace)
         print(f"{spec:36s} {accuracy:.2%}")
 
     print(

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple, Type, Union
 from repro.errors import ConfigError, WorkloadError
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
-from repro.trace.columnar import PackedTrace, pack_records
+from repro.trace.columnar import PackedTrace
 from repro.trace.record import BranchRecord, InstructionMix
 from repro.trace.store import TraceStore, content_key
 
@@ -86,40 +86,30 @@ class DataSet:
 class WorkloadTrace:
     """A generated trace plus the statistics the figures need.
 
-    The trace lives in whichever representation it was born with — the
-    ordinary record list from a fresh generation, or the columnar
-    :class:`~repro.trace.columnar.PackedTrace` from a warm store load
-    (possibly memory-mapped) — and derives the other form lazily.  At
-    paper scale the distinction matters: a 20M-record trace loads from the
-    store in milliseconds as columns, and boxing it into twenty million
-    :class:`BranchRecord` tuples only happens if something actually reads
-    :attr:`records`.  Prefer :meth:`iter_records` for one-pass consumers.
+    The trace is held as a columnar
+    :class:`~repro.trace.columnar.PackedTrace` — the interpreter's own
+    columns from a fresh generation, or a warm store load (possibly
+    memory-mapped).  At paper scale the distinction from a record list
+    matters: a 20M-record trace loads from the store in milliseconds as
+    columns, and boxing it into twenty million :class:`BranchRecord` tuples
+    only happens if something actually reads :attr:`records`.  Prefer
+    :meth:`iter_records` for one-pass consumers.
     """
 
-    def __init__(
-        self,
-        records: Optional[List[BranchRecord]] = None,
-        mix: Optional[InstructionMix] = None,
-        _packed: Optional[PackedTrace] = None,
-    ):
-        if records is None and _packed is None:
-            raise ValueError("WorkloadTrace needs records or a packed trace")
-        if mix is None:
-            raise ValueError("WorkloadTrace needs an instruction mix")
-        self._records = records
+    def __init__(self, packed: PackedTrace, mix: InstructionMix):
+        self._packed = packed
         self.mix = mix
-        self._packed = _packed
+        self._records: Optional[List[BranchRecord]] = None
 
     @classmethod
     def from_packed(cls, packed: PackedTrace, mix: InstructionMix) -> "WorkloadTrace":
-        """Wrap an already-columnar trace without materialising records."""
-        return cls(records=None, mix=mix, _packed=packed)
+        """Wrap a columnar trace without materialising records."""
+        return cls(packed, mix)
 
     @property
     def records(self) -> List[BranchRecord]:
         """The record-list form (materialised from the columns on first use)."""
         if self._records is None:
-            assert self._packed is not None
             self._records = self._packed.to_records()
         return self._records
 
@@ -127,14 +117,10 @@ class WorkloadTrace:
         """Iterate records without forcing the boxed list into memory."""
         if self._records is not None:
             return iter(self._records)
-        assert self._packed is not None
         return iter(self._packed)
 
     def packed(self) -> PackedTrace:
-        """The columnar form of the trace (packed once, then cached)."""
-        if self._packed is None:
-            assert self._records is not None
-            self._packed = pack_records(self._records)
+        """The columnar form of the trace."""
         return self._packed
 
 
@@ -182,7 +168,7 @@ class Workload(ABC):
         program = assemble(self.build_source(chosen))
         cpu = CPU(program)
         result = cpu.run(max_conditional_branches=max_conditional)
-        return WorkloadTrace(records=result.branch_records, mix=result.mix)
+        return WorkloadTrace.from_packed(result.packed, result.mix)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Interpreter semantics: every opcode, limits, branch records, mix counts."""
 
+import sys
+
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigError, ExecutionError, ReproError
+from repro.isa import cpu as cpu_module
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
 from repro.trace.record import BranchClass
@@ -262,3 +265,112 @@ class TestLimitsAndAccounting:
         second = cpu.run()
         assert second.halted
         assert second.instructions_executed == 2  # nop + halt
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_instructions": -5}, {"max_conditional_branches": -3}],
+    )
+    def test_negative_limits_rejected(self, limits):
+        cpu = CPU(assemble("_start: br _start"))
+        with pytest.raises(ConfigError) as info:
+            cpu.run(**limits)
+        assert isinstance(info.value, ReproError)
+        assert cpu.pc == cpu.program.entry
+
+    def test_zero_limits_run_nothing(self):
+        for limits in ({"max_instructions": 0}, {"max_conditional_branches": 0}):
+            result = CPU(assemble("_start: beq r0, r0, _start")).run(**limits)
+            assert result.instructions_executed == 0 and len(result.packed) == 0
+
+
+#: every opcode in a loop body hot enough to be compiled, ending in a
+#: division by zero once the loop exits.
+_ALL_OPCODES = """
+leaf:   addi r9, r9, 1
+        rts
+_start: li   r2, 20
+        li   r3, -7
+        li   r4, buf
+loop:   add  r5, r3, r2
+        sub  r5, r5, r3
+        mul  r6, r3, r2
+        divs r7, r6, r3
+        rems r8, r6, r2
+        and  r10, r6, r3
+        or   r10, r10, r2
+        xor  r10, r10, r3
+        shl  r11, r3, r2
+        shr  r11, r11, r2
+        sra  r12, r3, r2
+        muli r13, r3, -3
+        andi r13, r13, 0xF0F0
+        ori  r13, r13, 3
+        xori r13, r13, 0x8001
+        shli r14, r3, 3
+        shri r14, r14, 1
+        srai r14, r3, 1
+        lui  r15, 0x8001
+        st   r6, 0(r4)
+        stb  r2, 1(r4)
+        ld   r16, 0(r4)
+        ldb  r17, 2(r4)
+        nop
+        bsr  leaf
+        li   r18, leaf
+        jsr  r18
+        li   r18, next
+        jmp  r18
+next:   beq  r2, r3, never
+        bne  r2, r0, over
+        br   never
+over:   blt  r3, r2, ok
+        br   never
+ok:     bge  r2, r3, ok2
+        br   never
+ok2:    ble  r3, r2, ok3
+        br   never
+ok3:    addi r2, r2, -1
+        bgt  r2, r0, loop
+        divs r19, r2, r0
+never:  halt
+.data
+buf:    .word 0
+"""
+
+
+class TestTiers:
+    """The compiled tier is exact: same trace, mix, state and faults."""
+
+    def _observe(self, threshold, monkeypatch, **limits):
+        monkeypatch.setattr(cpu_module, "HOT_THRESHOLD", threshold)
+        cpu = CPU(assemble(_ALL_OPCODES))
+        try:
+            result = cpu.run(**limits)
+            outcome = (result.packed, result.mix, result.instructions_executed, result.halted)
+        except ExecutionError as exc:
+            outcome = ("fault", exc.pc)
+        return outcome, list(cpu.regs), sorted(cpu.memory._words.items()), cpu.pc
+
+    def test_every_opcode_agrees_across_thresholds(self, monkeypatch):
+        program = assemble(_ALL_OPCODES)
+        assert {int(i.opcode) for i in program.instructions} == set(range(37))
+        reference = self._observe(sys.maxsize, monkeypatch)
+        assert reference[0][0] == "fault"  # the division by zero after the loop
+        assert reference[3] == program.address_of("never") - 4
+        for threshold in (1, 2, cpu_module.HOT_THRESHOLD):
+            assert self._observe(threshold, monkeypatch) == reference
+
+    @pytest.mark.parametrize("limit", [1, 37, 500, 611, 612])
+    def test_instruction_limit_exact_inside_hot_blocks(self, limit, monkeypatch):
+        reference = self._observe(sys.maxsize, monkeypatch, max_instructions=limit)
+        assert reference[0][2] == limit
+        assert self._observe(1, monkeypatch, max_instructions=limit) == reference
+
+    def test_resume_after_limit_uses_compiled_blocks(self, monkeypatch):
+        monkeypatch.setattr(cpu_module, "HOT_THRESHOLD", 1)
+        cpu = CPU(assemble(_ALL_OPCODES))
+        first = cpu.run(max_conditional_branches=40)
+        assert first.mix.conditional == 40 and not first.halted
+        with pytest.raises(ExecutionError) as info:
+            cpu.run()
+        assert info.value.pc == cpu.pc == cpu.program.address_of("never") - 4

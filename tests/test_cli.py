@@ -104,6 +104,12 @@ class TestAsm:
         assert main(["asm", str(source)]) == 2
         assert "unknown mnemonic" in capsys.readouterr().err
 
+    def test_negative_instruction_limit_reported(self, tmp_path, capsys):
+        source = tmp_path / "loop.s"
+        source.write_text("_start: br _start\n")
+        assert main(["asm", str(source), "--run", "--max-instructions", "-5"]) == 2
+        assert "max_instructions must be >= 0" in capsys.readouterr().err
+
 
 class TestDisasm:
     def test_disassembles_workload(self, capsys):

@@ -15,6 +15,7 @@ from repro.predictors.modern.perceptron import (
     WEIGHT_MAX,
     WEIGHT_MIN,
     PerceptronPredictor,
+    PerceptronState,
     perceptron_threshold,
 )
 from repro.predictors.modern.tage import (
@@ -46,6 +47,7 @@ __all__ = [
     "WEIGHT_MAX",
     "WEIGHT_MIN",
     "PerceptronPredictor",
+    "PerceptronState",
     "TagePredictor",
     "TageState",
     "fold_history",

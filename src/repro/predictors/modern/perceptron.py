@@ -22,7 +22,8 @@ class whenever the correlated sources fall inside the history window.
 
 from __future__ import annotations
 
-from typing import List
+from operator import add, mul, sub
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
@@ -44,13 +45,27 @@ def perceptron_threshold(history_length: int) -> int:
     return int(1.93 * history_length + 14)
 
 
-class PerceptronPredictor(ConditionalBranchPredictor):
-    """Global-history perceptron predictor (Jiménez & Lin, HPCA 2001).
+def _saturate(weights: List[int]) -> List[int]:
+    """Clamp a weight vector one ``+-1`` training step past the 8-bit
+    range (so the only out-of-range values are ``WEIGHT_MAX + 1`` and
+    ``WEIGHT_MIN - 1``; two ``in`` scans cost half a ``max``/``min``)."""
+    if WEIGHT_MAX + 1 not in weights and WEIGHT_MIN - 1 not in weights:
+        return weights
+    return [min(WEIGHT_MAX, max(WEIGHT_MIN, w)) for w in weights]
 
-    ``history_length`` is the global-history window ``h``; ``rows`` the
-    number of weight vectors (selected by ``(pc >> 2) % rows``).  Bit
-    ``j-1`` of the history register is the outcome ``j`` branches ago,
-    matching the repo's other global-history predictors (gshare init-0).
+
+class PerceptronState:
+    """The weight table of one perceptron instance, history-agnostic.
+
+    Callers hand :meth:`step` the row number and the input tuple ``x``: a
+    ``+1`` bias input, then ``+1``/``-1`` (taken / not taken) for history
+    bits ``0 .. h-1``.  The scalar predictor shifts that tuple per record,
+    the vector kernel builds it once per distinct history value.  The
+    prediction and training rule lives here and only here, so the two
+    paths are bit-exact by construction.
+
+    Rows are allocated on first touch: memory follows the rows a trace
+    actually uses, not ``rows``.
     """
 
     def __init__(self, history_length: int, rows: int = DEFAULT_ROWS):
@@ -64,46 +79,57 @@ class PerceptronPredictor(ConditionalBranchPredictor):
         self.history_length = history_length
         self.rows = rows
         self.theta = perceptron_threshold(history_length)
-        self._mask = (1 << history_length) - 1
-        self._weights: List[List[int]] = [
-            [0] * (history_length + 1) for _ in range(rows)
-        ]
-        self._history = 0
+        #: row number -> ``[w0, w1 .. wh]`` for every row trained so far;
+        #: an untouched row reads as :attr:`_zero` (a row's first touch
+        #: always trains, since ``y = 0`` is inside the threshold)
+        self.weights: Dict[int, List[int]] = {}
+        self._zero = (0,) * (history_length + 1)
 
-    # ------------------------------------------------------------------
-    def _output(self, pc: int) -> int:
-        weights = self._weights[(pc >> 2) % self.rows]
-        y = weights[0]
-        history = self._history
-        for i in range(self.history_length):
-            if (history >> i) & 1:
-                y += weights[i + 1]
-            else:
-                y -= weights[i + 1]
-        return y
+    def output(self, row: int, x: Sequence[int]) -> int:
+        """The dot product ``y`` of ``row``'s weights with ``x``."""
+        return sum(map(mul, self.weights.get(row, self._zero), x))
+
+    def step(self, row: int, x: Sequence[int], taken: bool) -> bool:
+        """Predict-and-train one branch; returns the prediction ``y >= 0``."""
+        weights = self.weights.get(row, self._zero)
+        y = sum(map(mul, weights, x))
+        # training on a misprediction or |y| <= theta folds to one side
+        # test: taken -> (y < 0 or |y| <= theta) == y <= theta, and
+        # not taken -> (y >= 0 or |y| <= theta) == y >= -theta
+        if taken:
+            if y <= self.theta:
+                self.weights[row] = _saturate(list(map(add, weights, x)))
+        elif y >= -self.theta:
+            self.weights[row] = _saturate(list(map(sub, weights, x)))
+        return y >= 0
+
+
+class PerceptronPredictor(ConditionalBranchPredictor):
+    """Global-history perceptron predictor (Jiménez & Lin, HPCA 2001).
+
+    ``history_length`` is the global-history window ``h``; ``rows`` the
+    number of weight vectors (selected by ``(pc >> 2) % rows``).  Input
+    ``x_j`` is the outcome ``j`` branches ago, matching the repo's other
+    global-history predictors (gshare init-0: every input starts at -1).
+    """
+
+    def __init__(self, history_length: int, rows: int = DEFAULT_ROWS):
+        self.state = PerceptronState(history_length, rows)
+        self.history_length = history_length
+        self.rows = rows
+        self._x = (1,) + (-1,) * history_length
 
     def predict(self, pc: int, target: int) -> bool:
-        return self._output(pc) >= 0
+        return self.state.output((pc >> 2) % self.rows, self._x) >= 0
 
     def update(self, pc: int, target: int, taken: bool) -> None:
-        y = self._output(pc)
-        if (y >= 0) != taken or abs(y) <= self.theta:
-            weights = self._weights[(pc >> 2) % self.rows]
-            step = 1 if taken else -1
-            weights[0] = min(WEIGHT_MAX, max(WEIGHT_MIN, weights[0] + step))
-            history = self._history
-            for i in range(self.history_length):
-                delta = step if (history >> i) & 1 else -step
-                weights[i + 1] = min(
-                    WEIGHT_MAX, max(WEIGHT_MIN, weights[i + 1] + delta)
-                )
-        self._history = ((self._history << 1) | (1 if taken else 0)) & self._mask
+        x = self._x
+        self.state.step((pc >> 2) % self.rows, x, taken)
+        self._x = (1, 1 if taken else -1) + x[1:-1]
 
     def reset(self) -> None:
-        for row in self._weights:
-            for i in range(len(row)):
-                row[i] = 0
-        self._history = 0
+        self.state = PerceptronState(self.history_length, self.rows)
+        self._x = (1,) + (-1,) * self.history_length
 
     @property
     def name(self) -> str:

@@ -83,7 +83,8 @@ class TageState:
     and per-table (index, tag) pairs; the scalar predictor computes them
     per record, the vector kernel computes them columnar.  Keeping the
     selection/update logic here — and only here — is what makes the two
-    paths bit-exact by construction.
+    paths bit-exact by construction.  A tagged entry whose ``tag`` is
+    ``-1`` is invalid (never allocated): no computed tag is negative.
     """
 
     def __init__(self, tables: int, entry_bits: int):
@@ -100,40 +101,22 @@ class TageState:
         self.lengths = tage_geometries(tables)
         size = 1 << entry_bits
         self.base = [2] * (1 << (entry_bits + BASE_EXTRA_BITS))
-        self.valid = [[False] * size for _ in range(tables)]
-        self.tag = [[0] * size for _ in range(tables)]
+        self.tag = [[-1] * size for _ in range(tables)]
         self.ctr = [[0] * size for _ in range(tables)]
         self.useful = [[0] * size for _ in range(tables)]
+        #: table numbers, longest history first (provider search order)
+        self._longest_first = tuple(range(tables - 1, -1, -1))
 
     # ------------------------------------------------------------------
-    def _select(
-        self, base_index: int, indices: Sequence[int], tags: Sequence[int]
-    ) -> Tuple[int, bool, bool]:
-        """(provider table or -1, prediction, altpred)."""
-        provider = -1
-        alternate = -1
-        for i in range(self.tables - 1, -1, -1):
-            if self.valid[i][indices[i]] and self.tag[i][indices[i]] == tags[i]:
-                if provider < 0:
-                    provider = i
-                else:
-                    alternate = i
-                    break
-        base_prediction = self.base[base_index] >= 2
-        if provider < 0:
-            return provider, base_prediction, base_prediction
-        prediction = self.ctr[provider][indices[provider]] >= 0
-        if alternate >= 0:
-            alt_prediction = self.ctr[alternate][indices[alternate]] >= 0
-        else:
-            alt_prediction = base_prediction
-        return provider, prediction, alt_prediction
-
     def peek(
         self, base_index: int, indices: Sequence[int], tags: Sequence[int]
     ) -> bool:
         """Prediction only — no state change."""
-        return self._select(base_index, indices, tags)[1]
+        tag = self.tag
+        for i in self._longest_first:
+            if tag[i][indices[i]] == tags[i]:
+                return self.ctr[i][indices[i]] >= 0
+        return self.base[base_index] >= 2
 
     def step(
         self,
@@ -142,39 +125,64 @@ class TageState:
         tags: Sequence[int],
         taken: bool,
     ) -> bool:
-        """Predict-and-update one branch; returns the prediction."""
-        provider, prediction, alt_prediction = self._select(
-            base_index, indices, tags
-        )
-        if provider >= 0:
-            index = indices[provider]
-            if prediction != alt_prediction:
-                u = self.useful[provider][index]
-                self.useful[provider][index] = (
-                    min(U_MAX, u + 1) if prediction == taken else max(0, u - 1)
-                )
-            counter = self.ctr[provider][index]
-            self.ctr[provider][index] = (
-                min(CTR_MAX, counter + 1) if taken else max(CTR_MIN, counter - 1)
-            )
-        else:
-            counter = self.base[base_index]
-            self.base[base_index] = (
-                min(3, counter + 1) if taken else max(0, counter - 1)
-            )
-        if prediction != taken and provider < self.tables - 1:
-            allocated = False
-            for j in range(provider + 1, self.tables):
-                if self.useful[j][indices[j]] == 0:
-                    self.valid[j][indices[j]] = True
-                    self.tag[j][indices[j]] = tags[j]
-                    self.ctr[j][indices[j]] = 0 if taken else -1
-                    allocated = True
+        """Predict-and-update one branch; returns the prediction.
+
+        The provider is the longest-history table whose entry's tag
+        matches, the altpred the next matching table (or the base table).
+        """
+        tag = self.tag
+        ctr = self.ctr
+        useful = self.useful
+        provider = alternate = -1
+        for i in self._longest_first:
+            if tag[i][indices[i]] == tags[i]:
+                if provider < 0:
+                    provider = i
+                else:
+                    alternate = i
                     break
-            if not allocated:
-                for j in range(provider + 1, self.tables):
-                    if self.useful[j][indices[j]] > 0:
-                        self.useful[j][indices[j]] -= 1
+        if provider < 0:
+            base = self.base
+            counter = base[base_index]
+            prediction = counter >= 2
+            if taken:
+                if counter < 3:
+                    base[base_index] = counter + 1
+            elif counter > 0:
+                base[base_index] = counter - 1
+        else:
+            index = indices[provider]
+            row = ctr[provider]
+            counter = row[index]
+            prediction = counter >= 0
+            if alternate >= 0:
+                alt_prediction = ctr[alternate][indices[alternate]] >= 0
+            else:
+                alt_prediction = self.base[base_index] >= 2
+            if prediction != alt_prediction:
+                u_row = useful[provider]
+                u = u_row[index]
+                if prediction == taken:
+                    if u < U_MAX:
+                        u_row[index] = u + 1
+                elif u > 0:
+                    u_row[index] = u - 1
+            if taken:
+                if counter < CTR_MAX:
+                    row[index] = counter + 1
+            elif counter > CTR_MIN:
+                row[index] = counter - 1
+        if prediction != taken and provider < self.tables - 1:
+            candidates = range(provider + 1, self.tables)
+            for j in candidates:
+                if useful[j][indices[j]] == 0:
+                    tag[j][indices[j]] = tags[j]
+                    ctr[j][indices[j]] = 0 if taken else -1
+                    break
+            else:
+                for j in candidates:
+                    if useful[j][indices[j]] > 0:
+                        useful[j][indices[j]] -= 1
         return prediction
 
 

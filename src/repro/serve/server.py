@@ -78,6 +78,12 @@ from repro.serve.protocol import (
 __all__ = ["ServerConfig", "ServeStats", "PredictionServer"]
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, so ``true`` would
+    otherwise pass as 1, and ``2.0 == 2`` lets a float through ``in``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_records(payload: bytes) -> Any:
     """Decode a RECORDS payload, columnar when NumPy allows.
 
@@ -447,7 +453,7 @@ class PredictionServer:
                 elif frame_type == FRAME_CLOSE:
                     obj = protocol.unpack_json(payload, frame_type)
                     sid = obj.get("session")
-                    if not isinstance(sid, int):
+                    if not _is_int(sid):
                         raise ProtocolError(
                             "CLOSE must carry an integer 'session'", "bad-session"
                         )
@@ -466,7 +472,7 @@ class PredictionServer:
                         sid = obj.get("session")
                         if sid is None:
                             session = None
-                        elif isinstance(sid, int):
+                        elif _is_int(sid):
                             session = self._v2_session(conn, sid, frame_type)
                         else:
                             raise ProtocolError(
@@ -504,7 +510,7 @@ class PredictionServer:
             raise ProtocolError("duplicate HELLO", "protocol")
         hello = protocol.unpack_json(payload, FRAME_HELLO)
         version = hello.get("version", 1)
-        if version not in (1, PROTOCOL_VERSION):
+        if not _is_int(version) or version not in (1, PROTOCOL_VERSION):
             raise ProtocolError(
                 f"unsupported protocol version {version!r}"
                 f" (this server speaks 1 and {PROTOCOL_VERSION})",
@@ -518,7 +524,7 @@ class PredictionServer:
                     "bad-hello",
                 )
             requested = hello.get("max_sessions", self.config.max_sessions)
-            if not isinstance(requested, int) or requested < 1:
+            if not _is_int(requested) or requested < 1:
                 raise ProtocolError(
                     "HELLO 'max_sessions' must be a positive integer", "bad-hello"
                 )
@@ -558,7 +564,7 @@ class PredictionServer:
             raise ProtocolError("OPEN on a v1 connection", "protocol")
         obj = protocol.unpack_json(payload, FRAME_OPEN)
         sid = obj.get("session")
-        if not isinstance(sid, int) or not 0 <= sid <= MAX_SESSION_ID:
+        if not _is_int(sid) or not 0 <= sid <= MAX_SESSION_ID:
             raise ProtocolError(
                 "OPEN must carry an integer 'session' id in [0, 2^32)",
                 "bad-session",
@@ -592,13 +598,13 @@ class PredictionServer:
         spec_text: Any,
         backend: Any,
     ) -> _Session:
+        frame = "OPEN" if conn.version == PROTOCOL_VERSION else "HELLO"
+        code = "bad-session" if conn.version == PROTOCOL_VERSION else "bad-hello"
         if not isinstance(spec_text, str) or not spec_text:
-            frame = "OPEN" if conn.version == PROTOCOL_VERSION else "HELLO"
-            code = "bad-session" if conn.version == PROTOCOL_VERSION else "bad-hello"
             raise ProtocolError(f"{frame} must carry a 'spec' string", code)
         spec = parse_spec(spec_text)  # SpecParseError -> bad-spec
         if backend is not None and not isinstance(backend, str):
-            raise ProtocolError("'backend' must be a string", "bad-hello")
+            raise ProtocolError(f"{frame} 'backend' must be a string", code)
         if backend is None:
             backend = self.config.backend
         # resolve now so an impossible request fails the handshake, not the

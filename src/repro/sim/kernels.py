@@ -19,25 +19,21 @@ scores whole predictor families with columnar batch operations instead:
     pass is a pure table lookup after the same history derivation);
   - the global-history extensions GAg and gshare (single global window).
 
-* **Modern schemes** (:mod:`repro.predictors.modern`) use two further
-  decompositions:
+* **Modern schemes** (:mod:`repro.predictors.modern`) are tight walks
+  over the state rule the scalar predictors run, so they are bit-exact by
+  construction; NumPy does only the per-record arithmetic around it:
 
-  - the perceptron's global histories are precomputed from the outcome
-    column, which makes its per-row weight vectors independent streams:
-    the trace is bucketed by weight row, and each row runs an *adaptive
-    speculative block scan* — a block is scored against the row snapshot
-    with one dot product, the first *training event* (mispredict or
-    ``|y| <= theta``) is located, its update applied, and the scan
-    resumes after it.  Predictions up to and including the first event
-    are exact because perceptron state only changes on training events;
-    block sizes adapt per row, so one densely-training hot branch cannot
-    cap every other row's stride.
+  - the perceptron's row and global-history columns are precomputed, and
+    each distinct history value's bipolar input tuple is built once; the
+    walk then hands every record to
+    :meth:`~repro.predictors.modern.PerceptronState.step` (one dot
+    product, and a weight update on ~20% of records at ``h=12``).  Rows
+    are allocated on first touch, so a huge ``rows`` costs nothing.
   - TAGE's tables couple through provider selection and allocation, so
-    its per-record state walk is inherently sequential; the kernel
-    instead lifts all the *hash* work — per-table folded indices and
-    tags over the global-history column — into whole-column NumPy
-    passes, then drives the same :class:`~repro.predictors.modern.TageState`
-    update rule the scalar predictor uses, guaranteeing bit-exactness.
+    its per-record state walk is inherently sequential; the kernel lifts
+    all the *hash* work — per-table folded indices and tags over the
+    global-history column — into whole-column NumPy passes, then walks
+    :meth:`~repro.predictors.modern.TageState.step`.
 
   Each bucket's outcome sequence is replayed through the automaton's
   precomputed (at most 4-state) transition table with a segmented
@@ -79,10 +75,8 @@ from repro.predictors.modern import (
     BASE_EXTRA_BITS,
     DEFAULT_ENTRY_BITS,
     TAG_BITS,
-    WEIGHT_MAX,
-    WEIGHT_MIN,
+    PerceptronState,
     TageState,
-    perceptron_threshold,
 )
 from repro.predictors.spec import PredictorSpec
 from repro.sim.backend import numpy_or_none
@@ -457,91 +451,43 @@ def _preset_bits(
 # ----------------------------------------------------------------------
 # modern-subsystem kernels (perceptron / TAGE)
 # ----------------------------------------------------------------------
-#: speculative block-scan geometry: start small (training-dense warmup),
-#: double on event-free blocks up to the cap (saturated steady state).
-_PERCEPTRON_BLOCK_MIN = 8
-_PERCEPTRON_BLOCK_MAX = 4096
+#: records per perceptron walk chunk: bounds the per-chunk input tuples
+#: (one per distinct history value) at any history length.
+_PERCEPTRON_CHUNK = 1 << 16
 
 
 def _perceptron_predictions(
-    np: Any,
-    rows_index: Any,
-    histories: Any,
-    taken: Any,
-    history_length: int,
-    weights: Any,
+    np: Any, rows_index: Any, histories: Any, taken: Any, state: PerceptronState
 ) -> Any:
-    """Row-bucketed speculative block scan over the perceptron table.
+    """Perceptron predictions from a walk of :meth:`PerceptronState.step`.
 
-    ``weights`` is the live ``(rows, h+1)`` int array — it is **mutated**
-    (this is what lets the streaming scorers carry it across batches).
-    The global histories are precomputed from the known outcomes, so the
-    per-row weight vectors are fully independent streams: the trace is
-    bucketed by row (the same segmented-sort machinery as the AHRT/HHRT
-    replays) and each row runs its own adaptive speculative scan.  Within
-    a row a block scored against the weight snapshot is exact up to and
-    including the first *training event* (mispredict or ``|y| <= theta``),
-    because perceptron state only changes on training events; the event's
-    update is applied and the scan resumes after it.  Bucketing matters
-    because hot rows train densely — scanning them separately keeps one
-    busy branch from capping every other row's block size.
+    The row and global-history columns are precomputed; each distinct
+    history value's bipolar input tuple is built once per chunk with one
+    NumPy pass, and the walk hands every record's tuple to the *same*
+    training rule the scalar predictor runs, mutating ``state`` in place
+    so streaming sessions can carry it across batches.
     """
-    n = len(taken)
-    out = np.empty(n, dtype=bool)
-    if n == 0:
-        return out
-    theta = perceptron_threshold(history_length)
-    shifts = np.arange(history_length, dtype=np.int64)
-    taken_b = taken.astype(bool)
-    order = np.argsort(rows_index, kind="stable")
-    sorted_rows = rows_index[order]
-    boundaries = np.flatnonzero(np.diff(sorted_rows)) + 1
-    for segment in np.split(order, boundaries):
-        row = weights[int(rows_index[segment[0]])]  # (h+1,) view
-        bipolar = (
-            ((histories[segment, None] >> shifts) & 1) * 2 - 1
-        )  # (m, h) in {-1, +1}
-        outcome = taken_b[segment]
-        outcome_list = outcome.tolist()
-        # the event condition folds to one comparison: for a taken outcome
-        # it is (y < 0) or (|y| <= theta) == (y <= theta); for not-taken,
-        # (y >= 0) or (|y| <= theta) == (y >= -theta) == (-y <= theta)
-        sign = np.where(outcome, 1, -1)
-        m = len(segment)
-        predictions = np.empty(m, dtype=bool)
-        start = 0
-        block = _PERCEPTRON_BLOCK_MIN
-        while start < m:
-            stop = min(m, start + block)
-            y = row[0] + bipolar[start:stop] @ row[1:]
-            event = y * sign[start:stop] <= theta
-            first = int(np.argmax(event))
-            if not event[first]:
-                predictions[start:stop] = y >= 0
-                start = stop
-                block = min(block * 2, _PERCEPTRON_BLOCK_MAX)
-                continue
-            predictions[start : start + first + 1] = y[: first + 1] >= 0
-            step = 1 if outcome_list[start + first] else -1
-            row[0] += step
-            row[1:] += step * bipolar[start + first]
-            np.clip(row, WEIGHT_MIN, WEIGHT_MAX, out=row)
-            start += first + 1
-            block = max(_PERCEPTRON_BLOCK_MIN, min((first + 1) * 2, block))
-        out[segment] = predictions
-    return out
-
-
-def _perceptron_table(np: Any, spec: PredictorSpec) -> Any:
-    """A fresh zeroed weight table for ``spec`` (int64: the dot products
-    and the clip run in one dtype, no overflow at any h <= 62)."""
-    assert spec.history_length is not None and spec.rows is not None
-    return np.zeros((spec.rows, spec.history_length + 1), dtype=np.int64)
+    out = bytearray()
+    shifts = np.arange(state.history_length, dtype=np.int64)
+    for start in range(0, len(taken), _PERCEPTRON_CHUNK):
+        stop = start + _PERCEPTRON_CHUNK
+        unique, inverse = np.unique(histories[start:stop], return_inverse=True)
+        bipolar = ((unique[:, None] >> shifts) & 1) * 2 - 1
+        inputs = [(1, *x) for x in bipolar.tolist()]
+        out += bytearray(
+            map(
+                state.step,
+                rows_index[start:stop].tolist(),
+                map(inputs.__getitem__, inverse.tolist()),
+                taken[start:stop].tolist(),
+            )
+        )
+    return np.frombuffer(out, dtype=bool)
 
 
 def _tage_fold_columns(np: Any, histories: Any, length: int, bits: int) -> Any:
     """Columnar twin of :func:`repro.predictors.modern.fold_history`."""
-    folded = np.zeros(len(histories), dtype=np.int64)
+    folded = np.zeros(len(histories), dtype=histories.dtype)
     value = histories & ((1 << length) - 1)
     mask = (1 << bits) - 1
     for _ in range((length + bits - 1) // bits):
@@ -564,7 +510,10 @@ def _tage_predictions(
     entry_bits = state.entry_bits
     index_mask = (1 << entry_bits) - 1
     tag_mask = (1 << TAG_BITS) - 1
-    pc_word = pc >> 2
+    # every hash keeps only low bits of its inputs (geometries reach 32
+    # history bits), so uint32 columns are exact and fold ~2.5x faster
+    histories = histories.astype(np.uint32)
+    pc_word = (pc >> 2).astype(np.uint32)
     base_index = (pc_word & ((1 << (entry_bits + BASE_EXTRA_BITS)) - 1)).tolist()
     index_columns = []
     tag_columns = []
@@ -585,20 +534,16 @@ def _tage_predictions(
                 & tag_mask
             ).tolist()
         )
-    index_rows = list(zip(*index_columns))
-    tag_rows = list(zip(*tag_columns))
-    n = len(taken)
-    out = np.empty(n, dtype=bool)
-    step = state.step
-    taken_list = taken.tolist()
-    for record in range(n):
-        out[record] = step(
-            base_index[record],
-            index_rows[record],
-            tag_rows[record],
-            taken_list[record] == 1,
+    out = bytearray(
+        map(
+            state.step,
+            base_index,
+            zip(*index_columns),
+            zip(*tag_columns),
+            taken.tolist(),
         )
-    return out
+    )
+    return np.frombuffer(out, dtype=bool)
 
 
 def correct_mask(
@@ -681,9 +626,8 @@ def correct_mask(
         assert spec.history_length is not None and spec.rows is not None
         histories = _history_global(np, taken, spec.history_length, 0)
         rows_index = (pc >> 2) % spec.rows
-        weights = _perceptron_table(np, spec)
         prediction = _perceptron_predictions(
-            np, rows_index, histories, taken, spec.history_length, weights
+            np, rows_index, histories, taken, PerceptronState(spec.history_length, spec.rows)
         )
         return prediction == taken_bool
     if spec.scheme == "TAGE":

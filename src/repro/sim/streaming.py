@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Un
 
 from repro.errors import ConfigError
 from repro.predictors.automata import A2
-from repro.predictors.modern import DEFAULT_ENTRY_BITS, TageState
+from repro.predictors.modern import DEFAULT_ENTRY_BITS, PerceptronState, TageState
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.kernels import (
     AhrtReplay,
@@ -43,7 +43,6 @@ from repro.sim.kernels import (
     _history_global,
     _np,
     _perceptron_predictions,
-    _perceptron_table,
     _profile_bias,
     _preset_bits,
     _segment_positions,
@@ -323,7 +322,7 @@ class VectorStreamingScorer(StreamingScorer):
             )
         elif scheme == "Perceptron":
             assert spec.history_length is not None and spec.rows is not None
-            self._weights = _perceptron_table(np, spec)
+            self._perceptron = PerceptronState(spec.history_length, spec.rows)
             self._global = 0
         elif scheme == "TAGE":
             assert spec.tage_tables is not None
@@ -450,7 +449,7 @@ class VectorStreamingScorer(StreamingScorer):
             )
             rows_index = (pc >> 2) % spec.rows
             return _perceptron_predictions(
-                np, rows_index, histories, taken, spec.history_length, self._weights
+                np, rows_index, histories, taken, self._perceptron
             )
         if scheme == "TAGE":
             assert spec.history_length is not None
@@ -672,7 +671,7 @@ class VectorMultiSessionScorer(MultiSessionScorer):
             self._pt_states = np.zeros(0, dtype=np.intp)
         elif scheme in ("Perceptron", "TAGE"):
             assert spec.history_length is not None
-            # per-slot mutable state (weight table / TageState) plus each
+            # per-slot mutable state (PerceptronState / TageState) plus each
             # session's carried global history register
             self._modern: Dict[int, Any] = {}
             self._modern_ghist: Dict[int, int] = {}
@@ -725,7 +724,7 @@ class VectorMultiSessionScorer(MultiSessionScorer):
             bits = self._pt_bits
             self._pt_states[slot << bits:(slot + 1) << bits] = self._pt_init
         if scheme == "Perceptron":
-            self._modern[slot] = _perceptron_table(np, spec)
+            self._modern[slot] = PerceptronState(spec.history_length, spec.rows)
             self._modern_ghist[slot] = 0
         elif scheme == "TAGE":
             self._modern[slot] = TageState(
@@ -965,7 +964,7 @@ class VectorMultiSessionScorer(MultiSessionScorer):
                     rows_index = (pc[mask] >> 2) % spec.rows
                     out[mask] = _perceptron_predictions(
                         np, rows_index, histories, taken[mask],
-                        spec.history_length, self._modern[slot_index],
+                        self._modern[slot_index],
                     )
                 else:
                     out[mask] = _tage_predictions(

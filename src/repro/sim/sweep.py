@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import KernelError
 from repro.predictors.automata import A2, Automaton
 from repro.predictors.spec import PredictorSpec
-from repro.predictors.modern import DEFAULT_ENTRY_BITS, TageState
+from repro.predictors.modern import DEFAULT_ENTRY_BITS, PerceptronState, TageState
 from repro.sim.kernels import (
     _conditional_columns,
     _history_global,
@@ -54,7 +54,6 @@ from repro.sim.kernels import (
     _np,
     _composition_tables,
     _perceptron_predictions,
-    _perceptron_table,
     _profile_bias,
     _tage_predictions,
     vectorizable,
@@ -551,10 +550,8 @@ def _direct_mask(
         assert spec.history_length is not None and spec.rows is not None
         histories = ctx.global_history(spec.history_length, 0)
         rows_index = (ctx.pc >> 2) % spec.rows
-        weights = _perceptron_table(np, spec)
-        prediction = _perceptron_predictions(
-            np, rows_index, histories, ctx.taken, spec.history_length, weights
-        )
+        state = PerceptronState(spec.history_length, spec.rows)
+        prediction = _perceptron_predictions(np, rows_index, histories, ctx.taken, state)
         return prediction == ctx.taken_bool
     if spec.scheme == "TAGE":
         assert spec.tage_tables is not None and spec.history_length is not None

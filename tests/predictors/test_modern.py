@@ -76,7 +76,7 @@ class TestPerceptron:
             predictor.update(0x1000, TARGET, True)
         assert all(
             WEIGHT_MIN <= w <= WEIGHT_MAX
-            for row in predictor._weights
+            for row in predictor.state.weights.values()
             for w in row
         )
 

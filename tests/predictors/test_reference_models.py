@@ -6,8 +6,10 @@ simple reference implementations over hypothesis-generated access
 sequences, so any optimisation bug shows up as a divergence.
 """
 
+import math
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.predictors.automata import A2
@@ -20,6 +22,13 @@ from repro.predictors.two_level import (
     TwoLevelAdaptivePredictor,
 )
 from repro.predictors.hrt import IHRT
+from repro.predictors.modern import (
+    WEIGHT_MAX,
+    WEIGHT_MIN,
+    PerceptronPredictor,
+    PerceptronState,
+    TageState,
+)
 from repro.sim.engine import simulate
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -197,3 +206,284 @@ class TestWrapperEquivalences:
         helper_accuracy = measure_accuracy(second, trace)
         if trace:
             assert engine_accuracy == helper_accuracy
+
+
+# ----------------------------------------------------------------------
+# reference: the textbook perceptron (docs/predictors.md, written out)
+# ----------------------------------------------------------------------
+def _inputs(history: int, h: int) -> Tuple[int, ...]:
+    """``PerceptronState``'s input tuple: bias, then bits 0 .. h-1 as +-1."""
+    return (1,) + tuple(1 if (history >> i) & 1 else -1 for i in range(h))
+
+
+def _clamp(weight: int) -> int:
+    return min(WEIGHT_MAX, max(WEIGHT_MIN, weight))
+
+
+class _TextbookPerceptron:
+    """``y = w0 + sum_i w_i x_i`` over bipolar history bits, predict taken
+    iff ``y >= 0``; on a mispredict or ``|y| <= theta`` (``theta =
+    floor(1.93 h + 14)``) every weight moves one step toward the outcome
+    and clamps to ``[-128, 127]``."""
+
+    def __init__(self, h: int):
+        self.h = h
+        self.theta = math.floor(1.93 * h + 14)
+        self.w: Dict[int, List[int]] = {}
+
+    def step(self, row: int, history: int, taken: bool) -> bool:
+        w = self.w.setdefault(row, [0] * (self.h + 1))
+        x = [1 if (history >> i) & 1 else -1 for i in range(self.h)]
+        y = w[0]
+        for i in range(self.h):
+            y += w[i + 1] * x[i]
+        prediction = y >= 0
+        if prediction != taken or abs(y) <= self.theta:
+            t = 1 if taken else -1
+            w[0] = _clamp(w[0] + t)
+            for i in range(self.h):
+                w[i + 1] = _clamp(w[i + 1] + t * x[i])
+        return prediction
+
+
+_WEIGHT = st.one_of(
+    st.sampled_from([WEIGHT_MIN, WEIGHT_MIN + 1, WEIGHT_MAX - 1, WEIGHT_MAX]),
+    st.integers(WEIGHT_MIN, WEIGHT_MAX),
+)
+
+
+@st.composite
+def _perceptron_streams(draw):
+    """(h, rows, preset weights, [(row, history, taken)]); preset rows start
+    at or near the clamps so saturation is exercised, not just reached."""
+    h = draw(st.sampled_from([1, 2, 5, 12, 62]))
+    rows = draw(st.integers(1, 4))
+    preset = {
+        row: draw(st.lists(_WEIGHT, min_size=h + 1, max_size=h + 1))
+        for row in draw(st.sets(st.integers(0, rows - 1)))
+    }
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, rows - 1),
+                st.integers(0, (1 << h) - 1),
+                st.booleans(),
+            ),
+            max_size=300,
+        )
+    )
+    return h, rows, preset, events
+
+
+class TestPerceptronAgainstTextbook:
+    @given(stream=_perceptron_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_state_step(self, stream):
+        h, rows, preset, events = stream
+        state = PerceptronState(h, rows)
+        model = _TextbookPerceptron(h)
+        for row, weights in preset.items():
+            state.weights[row] = list(weights)
+            model.w[row] = list(weights)
+        for row, history, taken in events:
+            x = _inputs(history, h)
+            before = state.output(row, x) >= 0
+            prediction = state.step(row, x, taken)
+            assert prediction == before == model.step(row, history, taken)
+        for row, weights in model.w.items():
+            assert state.weights.get(row, [0] * (h + 1)) == weights
+        assert set(state.weights) <= set(model.w)
+
+    def test_clamps_at_both_bounds(self):
+        # y = 127 - 128 = -1 mispredicts a taken branch: w0 would go to 128
+        state = PerceptronState(1, rows=1)
+        model = _TextbookPerceptron(1)
+        state.weights[0] = [WEIGHT_MAX, WEIGHT_MIN]
+        model.w[0] = [WEIGHT_MAX, WEIGHT_MIN]
+        assert state.step(0, _inputs(1, 1), True) is False
+        assert model.step(0, 1, True) is False
+        assert state.weights[0] == model.w[0] == [WEIGHT_MAX, WEIGHT_MIN + 1]
+        # a correct not-taken prediction inside theta (y = -1) still
+        # trains: w1 would go to -129
+        state.weights[0] = [WEIGHT_MAX, WEIGHT_MIN]
+        model.w[0] = [WEIGHT_MAX, WEIGHT_MIN]
+        assert state.step(0, _inputs(1, 1), False) is False
+        assert model.step(0, 1, False) is False
+        assert state.weights[0] == model.w[0] == [WEIGHT_MAX - 1, WEIGHT_MIN]
+
+    @pytest.mark.parametrize("taken", [True, False])
+    def test_trains_at_exactly_theta(self, taken):
+        # h=1: theta = 15; y = +-15 predicts correctly yet still trains
+        sign = 1 if taken else -1
+        state = PerceptronState(1, rows=1)
+        model = _TextbookPerceptron(1)
+        assert state.theta == model.theta == 15
+        state.weights[0] = [sign * 15, 0]
+        model.w[0] = [sign * 15, 0]
+        assert state.step(0, _inputs(1, 1), taken) is taken
+        assert model.step(0, 1, taken) is taken
+        assert state.weights[0] == model.w[0] == [sign * 16, sign]
+
+    @given(
+        h=st.sampled_from([1, 3, 12]),
+        rows=st.integers(1, 5),
+        events=st.lists(
+            st.tuples(st.integers(0, 9).map(lambda n: 0x400 + 4 * n), st.booleans()),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_predictor_global_history(self, h, rows, events):
+        """The scalar predictor's shifted input tuple is the textbook
+        global history: bit j-1 is the outcome j branches ago, init 0."""
+        predictor = PerceptronPredictor(h, rows)
+        model = _TextbookPerceptron(h)
+        history = 0
+        for pc, taken in events:
+            prediction = predictor.predict(pc, 0)
+            predictor.update(pc, 0, taken)
+            assert prediction == model.step((pc >> 2) % rows, history, taken)
+            history = ((history << 1) | taken) & ((1 << h) - 1)
+
+
+# ----------------------------------------------------------------------
+# reference: TAGE with separate valid and tag tables
+# ----------------------------------------------------------------------
+class _ReferenceTage:
+    """The docs/predictors.md rule over explicit valid bits: the longest
+    valid tag match provides, the next match (else the base counter) is the
+    altpred; the provider's useful counter moves when the two disagree; a
+    mispredict allocates in the first longer table whose ``u`` is 0, else
+    decays every longer candidate's ``u``."""
+
+    def __init__(self, tables: int, entry_bits: int):
+        size = 1 << entry_bits
+        self.tables = tables
+        self.base = [2] * (size << 2)
+        self.valid = [[False] * size for _ in range(tables)]
+        self.tag = [[0] * size for _ in range(tables)]
+        self.ctr = [[0] * size for _ in range(tables)]
+        self.useful = [[0] * size for _ in range(tables)]
+
+    def _matches(self, indices, tags) -> List[int]:
+        return [
+            i
+            for i in range(self.tables)
+            if self.valid[i][indices[i]] and self.tag[i][indices[i]] == tags[i]
+        ]
+
+    def predict(self, base_index, indices, tags) -> bool:
+        matches = self._matches(indices, tags)
+        if not matches:
+            return self.base[base_index] >= 2
+        return self.ctr[matches[-1]][indices[matches[-1]]] >= 0
+
+    def step(self, base_index, indices, tags, taken) -> bool:
+        matches = self._matches(indices, tags)
+        base_prediction = self.base[base_index] >= 2
+        if matches:
+            provider = matches[-1]
+            index = indices[provider]
+            prediction = self.ctr[provider][index] >= 0
+            if len(matches) > 1:
+                alt = self.ctr[matches[-2]][indices[matches[-2]]] >= 0
+            else:
+                alt = base_prediction
+            if prediction != alt:
+                u = self.useful[provider][index] + (1 if prediction == taken else -1)
+                self.useful[provider][index] = min(3, max(0, u))
+            counter = self.ctr[provider][index] + (1 if taken else -1)
+            self.ctr[provider][index] = min(3, max(-4, counter))
+        else:
+            provider = -1
+            prediction = base_prediction
+            counter = self.base[base_index] + (1 if taken else -1)
+            self.base[base_index] = min(3, max(0, counter))
+        if prediction != taken:
+            longer = range(provider + 1, self.tables)
+            free = [j for j in longer if self.useful[j][indices[j]] == 0]
+            if free:
+                j = free[0]
+                self.valid[j][indices[j]] = True
+                self.tag[j][indices[j]] = tags[j]
+                self.ctr[j][indices[j]] = 0 if taken else -1
+            else:
+                for j in longer:
+                    self.useful[j][indices[j]] = max(0, self.useful[j][indices[j]] - 1)
+        return prediction
+
+
+@st.composite
+def _tage_streams(draw):
+    """(tables, entry_bits, preset tables, [(base_index, indices, tags,
+    taken)]) over tiny tables and a 2-bit tag alphabet, so hits, misses,
+    aliasing and allocation pressure all occur within a few hundred
+    records; the preset starts counters anywhere in their ranges (so
+    saturation and the no-free-slot decay are reached) and gives invalid
+    entries a stale tag the match must ignore."""
+    tables = draw(st.integers(1, 4))
+    entry_bits = draw(st.integers(1, 3))
+    size = 1 << entry_bits
+
+    def column(values):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    if not draw(st.booleans()):
+        preset = None  # fresh tables: every tagged entry starts invalid
+    else:
+        preset = {
+            "base": draw(
+                st.lists(st.integers(0, 3), min_size=size << 2, max_size=size << 2)
+            ),
+            "valid": [column(st.booleans()) for _ in range(tables)],
+            "tag": [column(st.integers(0, 3)) for _ in range(tables)],
+            "ctr": [column(st.integers(-4, 3)) for _ in range(tables)],
+            "useful": [column(st.integers(0, 3)) for _ in range(tables)],
+        }
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, (size << 2) - 1),
+                st.lists(st.integers(0, size - 1), min_size=tables, max_size=tables),
+                st.lists(st.integers(0, 3), min_size=tables, max_size=tables),
+                st.booleans(),
+            ),
+            max_size=400,
+        )
+    )
+    return tables, entry_bits, preset, events
+
+
+class TestTageStateAgainstReference:
+    @given(stream=_tage_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_identical_walk(self, stream):
+        tables, entry_bits, preset, events = stream
+        state = TageState(tables, entry_bits)
+        model = _ReferenceTage(tables, entry_bits)
+        if preset is not None:
+            model.base = list(preset["base"])
+            state.base = list(preset["base"])
+            for name in ("valid", "tag", "ctr", "useful"):
+                setattr(model, name, [list(row) for row in preset[name]])
+            state.ctr = [list(row) for row in preset["ctr"]]
+            state.useful = [list(row) for row in preset["useful"]]
+            state.tag = [
+                [tag if valid else -1 for tag, valid in zip(tags, valids)]
+                for tags, valids in zip(preset["tag"], preset["valid"])
+            ]
+        for base_index, indices, tags, taken in events:
+            assert state.peek(base_index, indices, tags) == model.predict(
+                base_index, indices, tags
+            )
+            assert state.step(base_index, indices, tags, taken) == model.step(
+                base_index, indices, tags, taken
+            )
+        assert state.base == model.base
+        assert state.ctr == model.ctr
+        assert state.useful == model.useful
+        for i in range(tables):
+            assert state.tag[i] == [
+                tag if valid else -1
+                for tag, valid in zip(model.tag[i], model.valid[i])
+            ]

@@ -351,6 +351,71 @@ class TestProtocolEnforcement:
         )
         assert "TRAIN" in body["error"]
 
+    # JSON booleans are Python ints and 2.0 == 2: integer fields must be
+    # checked by type, not by value, or ``true`` passes as 1
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"version": True, "spec": "BTFN"},
+            {"version": 2.0},
+            {"version": "2"},
+            {"version": 2, "max_sessions": True},
+            {"version": 2, "max_sessions": 4.0},
+        ],
+    )
+    def test_non_integer_hello_fields(self, hello):
+        self._expect_session_error(hello, "bad-hello")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"session": True},
+            {"session": False},
+            {"session": 1.0},
+            {"session": "1"},
+            {"session": 1, "backend": 5},
+        ],
+    )
+    def test_mistyped_open_fields(self, fields):
+        self._expect_session_error(
+            {"version": 2},
+            "bad-session",
+            then=protocol.pack_json(protocol.FRAME_OPEN, {"spec": "BTFN", **fields}),
+        )
+
+    def test_mistyped_v1_backend(self):
+        self._expect_session_error({"spec": "BTFN", "backend": 5}, "bad-hello")
+
+    @pytest.mark.parametrize("frame_type", ["CLOSE", "STATS_REQUEST"])
+    def test_boolean_session_does_not_alias_session_one(self, frame_type):
+        async def _run():
+            server = await _started_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(protocol.pack_json(protocol.FRAME_HELLO, {"version": 2}))
+                writer.write(
+                    protocol.pack_json(
+                        protocol.FRAME_OPEN, {"session": 1, "spec": "BTFN"}
+                    )
+                )
+                for _ in range(2):
+                    frame = await protocol.read_frame(reader)
+                    assert frame is not None and frame[0] == protocol.FRAME_OK
+                writer.write(
+                    protocol.pack_json(
+                        getattr(protocol, f"FRAME_{frame_type}"), {"session": True}
+                    )
+                )
+                await writer.drain()
+                await _expect_error(reader, "bad-session")
+                writer.close()
+            finally:
+                await server.stop(drain=False)
+
+        asyncio.run(_run())
+
     def test_client_raises_typed_error(self):
         async def _run():
             server = await _started_server()

@@ -9,6 +9,9 @@ the documented degradation instead.
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +33,7 @@ from repro.sim.kernels import (
     vectorizable,
 )
 from repro.sim.runner import SweepRunner
+from repro.sim.streaming import VectorStreamingScorer
 from repro.trace.columnar import pack_records
 from repro.trace.record import BranchClass, BranchRecord
 from repro.workloads.base import get_workload, workload_names
@@ -54,8 +58,8 @@ VECTOR_SPECS = [
     "gshare(8,A2)",
 ]
 
-#: modern subsystem (repro.predictors.modern): the perceptron's row-bucketed
-#: speculative scan and TAGE's columnar-hash + sequential-state walk.  The
+#: modern subsystem (repro.predictors.modern): the perceptron's walk over
+#: precomputed rows/histories and TAGE's columnar-hash + state walk.  The
 #: degenerate geometries matter: perceptron(4,1) forces every branch onto
 #: one weight vector (maximal aliasing), tage(1,3) has a single tiny tagged
 #: table so allocation constantly evicts.
@@ -278,3 +282,53 @@ class TestBackendResolution:
         packed = pack_records(records)
         stats = score_spec(spec, packed, backend="auto")
         assert stats == _scalar_stats(spec, packed)
+
+
+# ----------------------------------------------------------------------
+# perceptron memory follows the rows a trace touches, not ``rows``
+# ----------------------------------------------------------------------
+#: ``rows * (h+1)`` int64 weights would be 46.9 GiB for this spec.
+_HUGE_PERCEPTRON = "perceptron(62,100000000)"
+_PEAK_LIMIT_BYTES = 20 * 2**20
+_TIME_LIMIT_S = 5.0
+
+
+def _score_huge_scalar(spec, packed):
+    return simulate(spec.build(), packed)
+
+
+def _score_huge_kernel(spec, packed):
+    return simulate_spec(spec, packed)
+
+
+def _score_huge_streaming(spec, packed):
+    scorer = VectorStreamingScorer(spec)
+    records = packed.to_records()
+    for start in range(0, len(records), 500):
+        scorer.feed(records[start:start + 500])
+    return scorer.stats
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        _score_huge_scalar,
+        pytest.param(_score_huge_kernel, marks=needs_numpy),
+        pytest.param(_score_huge_streaming, marks=needs_numpy),
+    ],
+    ids=["scalar", "kernel", "streaming"],
+)
+def test_huge_perceptron_table_is_lazy(score, trace_cache):
+    spec = parse_spec(_HUGE_PERCEPTRON)
+    packed = trace_cache.get(get_workload("eqntott"), "test", 2000).packed()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        stats = score(spec, packed)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.conditional_total == 2000
+    assert peak < _PEAK_LIMIT_BYTES, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < _TIME_LIMIT_S, f"{elapsed:.2f} s"

@@ -55,7 +55,7 @@ STREAM_SPECS = [
     "LS(HHRT(4,A2),,)",
     "ST(AHRT(4,6SR),PT(2^6,PB),Same)",
     "ST(HHRT(4,6SR),PT(2^6,PB),Same)",
-    # modern subsystem: carried weight table / TageState plus a carried
+    # modern subsystem: carried PerceptronState / TageState plus a carried
     # global-history window; perceptron(4,1) maximises row aliasing and
     # tage(1,3) keeps allocation churning under the five-pc pool
     "perceptron(8,16)",
